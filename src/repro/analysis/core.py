@@ -282,9 +282,19 @@ def collect_guarded(cls: type) -> Dict[str, str]:
     The runtime sanitizer's entry point into the static annotations: one
     ``# guarded-by:`` declaration drives both the AST checker and the
     instrumented-object tracer, so the two tiers can never disagree
-    about what is supposed to be guarded.  Classes without readable
-    source (builtins, REPL definitions) yield ``{}``.
+    about what is supposed to be guarded.  Walks ``cls.__mro__``, so
+    state a base class declares stays watched on every subclass (a
+    subclass re-declaring an attribute wins).  Classes without readable
+    source (builtins, REPL definitions) contribute ``{}``.
     """
+    guarded: Dict[str, str] = {}
+    for klass in reversed(cls.__mro__):
+        guarded.update(_declared_guards(klass))
+    return guarded
+
+
+def _declared_guards(cls: type) -> Dict[str, str]:
+    """The ``# guarded-by:`` declarations in ``cls``'s own class body."""
     try:
         source = textwrap.dedent(inspect.getsource(cls))
     except (OSError, TypeError):

@@ -658,7 +658,7 @@ class Pipeline:
         started = time.perf_counter()
         key = self._key("compose", extra=plan.plan_fingerprint())
         before = len(engine.compose_log)
-        patched_before = len(engine.patch_log)
+        patched_before = engine.patched_products
         metapaths = plan.metapaths()
         dirty: Dict[int, np.ndarray] = {}
         product_keys, nnz, seconds = [], [], []
@@ -685,7 +685,7 @@ class Pipeline:
         self._log(
             "compose", key, "patched", time.perf_counter() - started,
             composed=report.composed,
-            patched_products=len(engine.patch_log) - patched_before,
+            patched_products=engine.patched_products - patched_before,
         )
 
         # --- enumerate: re-enumerate only dirty-rooted pairs. ---------

@@ -237,8 +237,3 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row lookup into an embedding table with scatter-add backward."""
     return table.index_select(np.asarray(indices))
-
-
-def outer_sum(x: Tensor) -> Tensor:
-    """Scalar sum; convenience alias used in losses."""
-    return x.sum()

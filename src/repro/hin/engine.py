@@ -339,12 +339,13 @@ class CommutingEngine:
         #: model uses measured intermediate nnz instead of the density
         #: bound once a sub-chain has been built once.
         self._observed_nnz: Dict[Key, int] = {}
-        #: ``(product key, dirty row count)`` per row-scoped patch this
-        #: generation — the delta-ingest twin of ``compose_log``.
-        self.patch_log: List[Tuple[Key, int]] = []
-        #: ``(view key, dirty row count)`` per derived-view patch (top-k
-        #: neighbor lists respliced instead of dropped on ingest).
-        self.view_patch_log: List[Tuple[Tuple, int]] = []
+        #: Row-scoped patches this generation: products patched, their
+        #: dirty rows in total, and derived views (top-k neighbor lists)
+        #: respliced instead of dropped on ingest.  Counters, not logs:
+        #: a long-lived engine under a delta stream stays bounded.
+        self.patched_products = 0
+        self.patched_rows = 0
+        self.patched_views = 0
         self._obs = obs_metrics.REGISTRY.register("engine", self._collect_metrics)
 
     @property
@@ -662,7 +663,8 @@ class CommutingEngine:
                 if stamps is not None:
                     stamps[dirty] = self._version
                 self._observed_nnz[key] = int(result.nnz)
-                self.patch_log.append((key, int(dirty.size)))
+                self.patched_products += 1
+                self.patched_rows += int(dirty.size)
                 patched[key] = result
         finally:
             self._store = store
@@ -721,7 +723,7 @@ class CommutingEngine:
             self._cache.put(
                 cache_key, respliced, cost=time.perf_counter() - started
             )
-            self.view_patch_log.append((cache_key, int(sim_dirty.size)))
+            self.patched_views += 1
 
         if store is not None:
             new_hash = self._content_hash()
@@ -741,7 +743,8 @@ class CommutingEngine:
                         matrix = splice_rows(
                             stale, dirty, self._compose_rows(key, dirty)
                         )
-                        self.patch_log.append((key, int(dirty.size)))
+                        self.patched_products += 1
+                        self.patched_rows += int(dirty.size)
                     else:
                         matrix = stale
                     if store.save(new_hash, key, matrix):
@@ -771,8 +774,9 @@ class CommutingEngine:
         self.claim_waits = 0
         self._row_versions.clear()
         self._observed_nnz.clear()
-        self.patch_log.clear()
-        self.view_patch_log.clear()
+        self.patched_products = 0
+        self.patched_rows = 0
+        self.patched_views = 0
         self._version = self._hin.version
 
     # -------------------------------------------------------------- #
@@ -1441,9 +1445,9 @@ class CommutingEngine:
                 mapped_bytes += nbytes_of(value)
         return {
             "composed_products": len(self.compose_log),
-            "patched_products": len(self.patch_log),
-            "patched_rows": int(sum(count for _, count in self.patch_log)),
-            "patched_views": len(self.view_patch_log),
+            "patched_products": self.patched_products,
+            "patched_rows": self.patched_rows,
+            "patched_views": self.patched_views,
             "cached_products": cached_products,
             "cached_views": len(snap["items"]) - cached_products,
             "cached_base": len(self._base),

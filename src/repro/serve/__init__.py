@@ -12,17 +12,16 @@ each usable on its own:
     back — bit-identical to sequential queries, including which
     requests error and with what message.
 
-:class:`~repro.serve.server.ModelServer`
-    The thread-pool front-end: a micro-batching scheduler
-    (``max_batch_size`` / ``max_wait_ms``) over a **bounded** request
-    queue with load-shedding admission control
-    (:class:`~repro.serve.server.ServerOverloaded`), futures, and
-    latency/throughput/batch-shape telemetry.
-    :class:`~repro.serve.server.ProcessReplicaServer` runs the same
-    protocol across OS processes, with elastic replica counts
-    (:meth:`~repro.serve.server.ProcessReplicaServer.scale_to`,
-    optionally driven by an
-    :class:`~repro.serve.autoscale.AutoscalePolicy`).
+:mod:`~repro.serve.server` — one serving core, two executors
+    A micro-batching scheduler (``max_batch_size`` / ``max_wait_ms``)
+    behind one admission/lifecycle core: a bounded in-flight table
+    with load shedding (:class:`~repro.serve.server.ServerOverloaded`),
+    futures resolved exactly once, and a stop-safe lifecycle.
+    :class:`~repro.serve.server.ModelServer` executes batches on
+    threads (plus a hot cache, adaptive wait and live ingest);
+    :class:`~repro.serve.server.ProcessReplicaServer` ships them to
+    spawned replicas, with elastic replica counts (optionally driven
+    by an :class:`~repro.serve.autoscale.AutoscalePolicy`).
 
 :class:`~repro.serve.http.HttpServer`
     The network front door: a stdlib-only HTTP facade over

@@ -1,9 +1,9 @@
-"""`ModelServer`: a micro-batching, admission-controlled query server.
+"""Micro-batching, admission-controlled query servers: one core, two executors.
 
 The front-end of the serving subsystem.  Callers :meth:`~ModelServer.submit`
 ``predict_nodes``-shaped requests (or use the blocking
 ``predict_nodes`` / ``predict_proba_nodes`` wrappers, or a
-:class:`repro.serve.client.ServeClient`); a scheduler thread pool forms
+:class:`repro.serve.client.ServeClient`); a scheduler forms
 **micro-batches** — up to ``max_batch_size`` requests, waiting at most
 ``max_wait_ms`` after the first arrival — and answers each batch with a
 single union sliced forward through :class:`repro.serve.BatchPlanner`,
@@ -12,15 +12,30 @@ one model forward instead of B.  Results are bit-identical to calling
 :meth:`repro.api.ModelHandle.predict_nodes` sequentially (the batched
 equivalence guarantee; the tests pin it down).
 
+One core, two executors
+-----------------------
+:class:`ModelServer` (scheduler threads in this process) and
+:class:`ProcessReplicaServer` (spawned replica processes) share one
+serving core that defines, once: the **in-flight table** of admitted
+futures bounded by ``max_queue``; the **admission tail** of ``submit``
+(register, publish ``(request_id, ids, proba, trace_ctx)``, re-check
+the stop flag); **exactly-once resolution** — whoever removes a future
+from the table resolves it; and the **lifecycle** with its telemetry
+clock.  Each executor keeps only how a batch reaches the planner (a
+thread calling it, or a replica answering over a response queue) and,
+for :class:`ModelServer`, the hot cache, adaptive wait and
+:meth:`~ModelServer.ingest`.  Both collect batches with
+:func:`collect_batch`.
+
 Admission control
 -----------------
-The request queue is bounded (``max_queue``).  When it is full the
-server **sheds load**: :meth:`submit` raises :class:`ServerOverloaded`
-immediately instead of queueing unbounded work — the caller can back
-off, retry, or fail fast.  Invalid requests (non-integer / out-of-range
-ids) are rejected synchronously at ``submit`` with exactly the error
-the sequential :class:`~repro.api.ModelHandle` path raises; they never
-consume scheduler capacity.
+Beyond ``max_queue`` admitted, unanswered requests the server **sheds
+load**: ``submit`` raises :class:`ServerOverloaded` immediately instead
+of queueing unbounded work — the caller can back off, retry, or fail
+fast.  Invalid requests (non-integer / out-of-range ids) are rejected
+synchronously at ``submit`` with exactly the error the sequential
+:class:`~repro.api.ModelHandle` path raises; they never consume
+scheduler capacity.
 
 Adaptive micro-batching
 -----------------------
@@ -44,38 +59,32 @@ receptive-field gather; hits are bit-identical because the cached value
 generation component makes invalidation atomic with
 :meth:`~repro.api.ModelHandle.refresh`'s pointer swap — an entry from
 an old generation can never answer a post-ingest query — and
-:meth:`ingest` additionally clears the cache to bound stale residency.
+:meth:`~ModelServer.ingest` additionally clears the cache to bound
+stale residency.
 
 Lifecycle
 ---------
-:meth:`stop` is idempotent (safe never-started, safe twice), freezes
-``uptime_seconds``/``throughput_rps`` at the recorded stop timestamp,
-and fails every queued request so no caller blocks on a dead server —
-including requests racing with the stop itself (``submit`` re-checks
-after enqueueing).  A restart (:meth:`start` after :meth:`stop`) is
-refused while any worker from the previous run is still alive: two
-worker generations must never serve the same queue.
-
-Telemetry
----------
-:meth:`~ModelServer.stats` reports request/answer/shed/cache counts,
-batch shaping (count, mean/max size), end-to-end latency quantiles
-(submit → result, seconds), and throughput over the started→stopped
-window.
+On both servers ``stop()`` is idempotent (safe never-started, safe
+twice), freezes ``uptime_seconds``/``throughput_rps`` at the stop
+timestamp, and fails every request left in the in-flight table so no
+caller blocks on a dead server — including requests racing the stop
+itself.  A request a scheduler thread already claimed is answered, not
+failed.  ``start()`` after ``stop()`` is refused while any worker
+thread of the previous run is alive: two worker generations must never
+serve the same queue.
 
 Multi-process serving
 ---------------------
-:class:`ProcessReplicaServer` runs the same protocol across OS
-processes: each replica loads the bundle through the **memory-mapped
-operator tier** (:meth:`repro.api.ModelHandle.load`), so N replicas
-share one OS-resident copy of the operators and cold-start by mapping,
-not copying.  Use it when the GIL — not the hardware — is the
-bottleneck; the thread server is lighter for scipy-heavy forwards that
-release the GIL.  The replica count is elastic: :meth:`~
-ProcessReplicaServer.scale_to` adds replicas (spawn) or retires them
-(a shutdown sentinel through the shared queue), and attaching an
-:class:`repro.serve.autoscale.AutoscalePolicy` drives it automatically
-from observed queue depth and shed rate.
+:class:`ProcessReplicaServer` replicas load the bundle through the
+**memory-mapped operator tier** (:meth:`repro.api.ModelHandle.load`),
+so N replicas share one OS-resident copy of the operators and
+cold-start by mapping, not copying.  Use it when the GIL — not the
+hardware — is the bottleneck; the thread server is lighter for
+scipy-heavy forwards that release the GIL.  The pool is elastic
+(:meth:`~ProcessReplicaServer.scale_to`, optionally driven by an
+:class:`repro.serve.autoscale.AutoscalePolicy`).  If every replica
+dies, the in-flight requests fail within one collector tick and
+``submit`` refuses until a restart.
 """
 
 from __future__ import annotations
@@ -86,14 +95,20 @@ import threading
 import time
 from collections import OrderedDict, deque
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.slowlog import SlowRequestLog
-from repro.obs.trace import TRACER, TraceContext
+from repro.obs.trace import TRACER
 from repro.serve.batching import BatchPlanner
+
+_NOT_RUNNING = "server is not running; call start() first"
+_NO_LIVE_REPLICAS = (
+    "no live replica: every replica process has exited; "
+    "stop() and start() the server"
+)
 
 
 class ServerOverloaded(RuntimeError):
@@ -143,30 +158,261 @@ class PredictionFuture:
         self._event.set()
 
 
-class _QueuedRequest:
-    __slots__ = ("ids", "proba", "future", "ctx")
-
-    def __init__(
-        self,
-        ids: np.ndarray,
-        proba: bool,
-        future: PredictionFuture,
-        ctx: Optional[TraceContext] = None,
-    ):
-        self.ids = ids
-        self.proba = proba
-        self.future = future
-        #: Trace context captured on the submitting thread — how the
-        #: scheduler joins the submitter's trace across the queue hop.
-        self.ctx = ctx
-
-
 #: EWMA smoothing for the observed request inter-arrival gap (the
 #: adaptive micro-batching signal): new = ALPHA*gap + (1-ALPHA)*old.
 ARRIVAL_EWMA_ALPHA = 0.2
 
 
-class ModelServer:
+def collect_batch(request_queue, first, max_batch_size: int, wait_s: float) -> list:
+    """Gather ``first``'s companions from ``request_queue`` into a batch.
+
+    Waits for companions until ``wait_s`` after the call, then takes
+    whatever is already queued without waiting more, stopping at
+    ``max_batch_size``.  A ``None`` shutdown sentinel met on the way is
+    put back for a sibling consumer and ends the batch.  Serves both the
+    scheduler threads and the replica processes.
+    """
+    batch = [first]
+    deadline = time.monotonic() + wait_s
+    while len(batch) < max_batch_size:
+        remaining = deadline - time.monotonic()
+        try:
+            if remaining > 0:
+                item = request_queue.get(timeout=remaining)
+            else:
+                item = request_queue.get_nowait()
+        except queue.Empty:
+            break
+        if item is None:
+            request_queue.put(None)
+            break
+        batch.append(item)
+    return batch
+
+
+def _answer_batch(planner: BatchPlanner, batch: list, span_name: str):
+    """One planner run over ``(request_id, ids, proba, ctx)`` items.
+
+    Returns ``(answers, generation)``, one answer (array or exception)
+    per item.  A batch-level failure answers every item with that
+    exception and generation ``None``: a failed batch must neither wedge
+    its callers nor kill the loop serving it.  The span parents the
+    scheduler-side subtree into the first request's trace.
+    """
+    try:
+        with TRACER.span(
+            span_name, parent=batch[0][3], attrs={"batch_size": len(batch)}
+        ):
+            # validated=True: every request already passed check_ids at
+            # submit — do not re-scan the hot path.
+            return planner.run(
+                [(ids, proba) for _, ids, proba, _ in batch],
+                validated=True,
+                return_generation=True,
+            )
+    except Exception as exc:
+        return [exc] * len(batch), None
+
+
+class _ServingCore:
+    """Admission, lifecycle and future resolution shared by both servers.
+
+    An executor subclass sets ``_request_queue``, implements
+    ``_launch`` (returns its unstarted worker threads), optionally
+    ``_retire`` (runs first in :meth:`stop`), and defines its own
+    ``submit`` that validates a request and hands it to :meth:`_admit`.
+    Its own guarded state may share ``_lock`` (reentrant), so one lock
+    hold covers the core's counters and the executor's bookkeeping.
+    """
+
+    #: ``stats()`` counters beyond the shared ones.
+    _EXTRA_COUNTERS: Tuple[str, ...] = ()
+    #: :class:`ServerOverloaded` message; ``{max_queue}`` is filled in.
+    _SHED_MESSAGE: str
+    #: Default ``stop()`` join timeout, seconds.
+    _STOP_TIMEOUT_S = 5.0
+
+    def __init__(self, max_queue: int, component: str):
+        self.max_queue = int(max_queue)
+        self._request_queue = None
+        self._threads: List[threading.Thread] = []
+        self._stop = threading.Event()
+        self._lock = threading.RLock()
+        self._in_flight: Dict[int, PredictionFuture] = {}  # guarded-by: _lock
+        self._next_id = 0  # guarded-by: _lock
+        self._counters = dict.fromkeys(  # guarded-by: _lock
+            ("requests", "answered", "failed", "shed") + self._EXTRA_COUNTERS,
+            0,
+        )
+        self._started_at: Optional[float] = None  # guarded-by: _lock
+        self._stopped_at: Optional[float] = None  # guarded-by: _lock
+        # Last: the collector reads the executor's state set up before.
+        self._obs = obs_metrics.REGISTRY.register(
+            component, self._collect_metrics
+        )
+
+    # ------------------------------------------------------------- #
+    # Lifecycle
+    # ------------------------------------------------------------- #
+
+    def _launch(self) -> List[threading.Thread]:
+        raise NotImplementedError
+
+    def _retire(self, timeout: float) -> None:
+        """Executor teardown that must precede joining the workers."""
+
+    def start(self):
+        """Launch the executor's workers (idempotent while running).
+
+        Restarting after :meth:`stop` is allowed only once every worker
+        from the previous run has exited — otherwise a wedged old
+        worker and a fresh one would serve the same queue, and answers
+        could keep flowing from a generation the caller believes dead.
+        """
+        self._threads = [t for t in self._threads if t.is_alive()]
+        if self._threads:
+            if self._stop.is_set():
+                raise RuntimeError(
+                    f"cannot restart: {len(self._threads)} worker(s) from "
+                    "the previous run are still alive; wait for them to "
+                    "finish their in-flight batch and call start() again"
+                )
+            return self
+        self._stop.clear()
+        with self._lock:
+            self._started_at = time.perf_counter()
+            self._stopped_at = None
+        self._threads = self._launch()
+        for thread in self._threads:
+            thread.start()
+        return self
+
+    def stop(self, timeout: Optional[float] = None) -> None:
+        """Stop serving; fail every request still in the in-flight table.
+
+        Idempotent: safe on a never-started server and safe to call
+        twice.  Freezes the telemetry clock first (``uptime_seconds`` /
+        ``throughput_rps`` stop growing or decaying), then retires the
+        executor, then joins the workers — requests they already claimed
+        are answered, the rest fail fast so no caller blocks forever.
+        Workers that outlive ``timeout`` (default ``_STOP_TIMEOUT_S``)
+        stay on the books, so a premature restart is refused rather than
+        doubling up on the queue.
+        """
+        if timeout is None:
+            timeout = self._STOP_TIMEOUT_S
+        with self._lock:
+            if self._started_at is not None and self._stopped_at is None:
+                self._stopped_at = time.perf_counter()
+        self._retire(timeout)
+        self._stop.set()
+        for thread in self._threads:
+            thread.join(timeout)
+        self._threads = [t for t in self._threads if t.is_alive()]
+        self._fail_pending()
+
+    def _serving(self) -> bool:
+        """Started and not (yet) stopped: the telemetry clock runs."""
+        with self._lock:
+            return self._started_at is not None and self._stopped_at is None
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    # ------------------------------------------------------------- #
+    # Admission and resolution
+    # ------------------------------------------------------------- #
+
+    def _admit(self, ids: np.ndarray, proba: bool) -> PredictionFuture:
+        """The admission tail of ``submit``: register, publish, re-check.
+
+        Sheds with :class:`ServerOverloaded` once ``max_queue`` requests
+        are in the table (``max_queue <= 0``: unbounded).  The re-check closes the submit/stop race:
+        ``stop()`` may have failed the table between the caller's
+        running-check and the publish, so anything stranded (possibly
+        this request) is failed here instead of blocking forever.
+        """
+        future = PredictionFuture()
+        ctx = TRACER.current_context() if TRACER.enabled else None
+        with self._lock:
+            if 0 < self.max_queue <= len(self._in_flight):
+                self._counters["shed"] += 1
+                raise ServerOverloaded(
+                    self._SHED_MESSAGE.format(max_queue=self.max_queue)
+                )
+            request_id = self._next_id
+            self._next_id += 1
+            self._in_flight[request_id] = future
+            self._counters["requests"] += 1
+        self._request_queue.put((request_id, ids, proba, ctx))
+        if self._stop.is_set():
+            self._fail_pending()
+        return future
+
+    def _claim(self, request_ids) -> List[Optional[PredictionFuture]]:
+        """Remove requests from the table; the caller must resolve each
+        returned future.  ``None`` marks one already resolved elsewhere."""
+        with self._lock:
+            return [self._in_flight.pop(rid, None) for rid in request_ids]
+
+    def _fail_pending(self, message: str = "server stopped") -> None:
+        """Fail every future still in the in-flight table, exactly once."""
+        with self._lock:
+            pending = list(self._in_flight.values())
+            self._in_flight.clear()
+            self._counters["failed"] += len(pending)
+        for future in pending:
+            future._finish(error=RuntimeError(message))
+
+    def _count(self, **deltas: int) -> None:
+        with self._lock:
+            for name, delta in deltas.items():
+                self._counters[name] += delta
+
+    def predict_nodes(self, ids, timeout: Optional[float] = None) -> np.ndarray:
+        """Blocking label query through the server."""
+        return self.submit(ids, proba=False).result(timeout)
+
+    def predict_proba_nodes(
+        self, ids, timeout: Optional[float] = None
+    ) -> np.ndarray:
+        """Blocking probability query through the server."""
+        return self.submit(ids, proba=True).result(timeout)
+
+    # ------------------------------------------------------------- #
+    # Telemetry
+    # ------------------------------------------------------------- #
+
+    def stats(self) -> Dict[str, object]:
+        """This server's registry snapshot (see the subclass collector)."""
+        return self._obs.read()
+
+    def _core_metrics(self) -> Dict[str, object]:
+        """Counters, in-flight depth, and the frozen-at-stop clock.
+
+        ``uptime_seconds`` and ``throughput_rps`` cover the
+        started→stopped window: on a stopped server they freeze at the
+        stop timestamp instead of decaying toward zero forever.
+        """
+        with self._lock:
+            out: Dict[str, object] = dict(self._counters)
+            out["in_flight"] = len(self._in_flight)
+            started_at = self._started_at
+            stopped_at = self._stopped_at
+        if started_at is None:
+            elapsed = 0.0
+        else:
+            end = stopped_at if stopped_at is not None else time.perf_counter()
+            elapsed = max(0.0, end - started_at)
+        out["uptime_seconds"] = elapsed
+        out["throughput_rps"] = out["answered"] / elapsed if elapsed > 0 else 0.0
+        return out
+
+
+class ModelServer(_ServingCore):
     """Thread-pool micro-batching server over one :class:`ModelHandle`.
 
     Parameters
@@ -202,6 +448,9 @@ class ModelServer:
         breakdown) under ``stats()["slow_requests"]``.
     """
 
+    _EXTRA_COUNTERS = ("batches", "ingests", "cache_hits")
+    _SHED_MESSAGE = "request queue full ({max_queue} pending); shedding load"
+
     def __init__(
         self,
         handle,
@@ -236,24 +485,11 @@ class ModelServer:
         self.num_workers = int(num_workers)
         self.adaptive_wait = bool(adaptive_wait)
         self._hot_cache_size = int(hot_cache_size)
-        self._queue: "queue.Queue[_QueuedRequest]" = queue.Queue(
-            maxsize=int(max_queue)
-        )
-        self._threads: List[threading.Thread] = []
-        self._stop = threading.Event()
-        # Telemetry shared between submitters, scheduler workers, and
-        # stats() readers; the lock-discipline rule of
-        # ``python -m repro.analysis`` enforces the annotations below,
-        # and the runtime sanitizer traces them under load.
-        self._lock = threading.Lock()
-        self._started_at: Optional[float] = None  # guarded-by: _lock
-        self._stopped_at: Optional[float] = None  # guarded-by: _lock
+        # Batch shaping and cache state share the core's lock; the
+        # lock-discipline rule of ``python -m repro.analysis`` enforces
+        # the annotations below, and the runtime sanitizer traces them.
         self._latencies: deque = deque(maxlen=4096)  # guarded-by: _lock
         self._batch_sizes: deque = deque(maxlen=4096)  # guarded-by: _lock
-        self._counters = {  # guarded-by: _lock
-            "requests": 0, "answered": 0, "failed": 0, "shed": 0,
-            "batches": 0, "ingests": 0, "cache_hits": 0,
-        }
         # Adaptive micro-batching signal: EWMA of the gap between
         # consecutive submits (seconds), maintained at admission.
         self._last_arrival: Optional[float] = None  # guarded-by: _lock
@@ -264,91 +500,24 @@ class ModelServer:
         # refresh); queries keep flowing — they only contend on the
         # handle's generation-pointer swap.
         self._ingest_lock = threading.Lock()
-        # Observability: the worst-N request log (own leaf lock), the
+        # Observability: the worst-N request log (own leaf lock) and the
         # shared latency histogram (resolved once — the registry lookup
-        # stays off the hot path), and this server's registry
-        # registration; stats() is a thin view over the latter.
+        # stays off the hot path).
         self._slow_log = SlowRequestLog(capacity=max(1, int(slow_log_size)))
         self._latency_hist = obs_metrics.REGISTRY.histogram(
             "repro_server_latency_seconds",
             help="End-to-end submit->answer latency per request",
         )
-        self._obs = obs_metrics.REGISTRY.register(
-            "server", self._collect_metrics
-        )
+        super().__init__(max_queue, "server")
+        self._request_queue = queue.SimpleQueue()
 
-    # ------------------------------------------------------------- #
-    # Lifecycle
-    # ------------------------------------------------------------- #
-
-    def start(self) -> "ModelServer":
-        """Spawn the scheduler workers (idempotent while running).
-
-        Restarting after :meth:`stop` is allowed only once every worker
-        from the previous run has exited — otherwise a wedged old
-        worker and a fresh one would serve the same queue, and answers
-        could keep flowing from a generation the caller believes dead.
-        """
-        self._threads = [t for t in self._threads if t.is_alive()]
-        if self._threads:
-            if self._stop.is_set():
-                raise RuntimeError(
-                    f"cannot restart: {len(self._threads)} worker(s) from "
-                    "the previous run are still alive; wait for them to "
-                    "finish their in-flight batch and call start() again"
-                )
-            return self
-        self._stop.clear()
-        with self._lock:
-            self._started_at = time.perf_counter()
-            self._stopped_at = None
-        for index in range(self.num_workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                name=f"repro-serve-{index}",
-                daemon=True,
+    def _launch(self) -> List[threading.Thread]:
+        return [
+            threading.Thread(
+                target=self._worker_loop, name=f"repro-serve-{index}", daemon=True
             )
-            thread.start()
-            self._threads.append(thread)
-        return self
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Drain nothing, stop everything: in-flight batches finish,
-        queued requests are failed fast so no caller blocks forever.
-
-        Idempotent: safe on a never-started server and safe to call
-        twice.  Freezes the telemetry clock (``uptime_seconds`` /
-        ``throughput_rps`` stop growing/decaying) and keeps any worker
-        that outlives ``timeout`` on the books so a premature restart
-        is refused rather than doubling up on the queue.
-        """
-        self._stop.set()
-        with self._lock:
-            if self._started_at is not None and self._stopped_at is None:
-                self._stopped_at = time.perf_counter()
-        for thread in self._threads:
-            thread.join(timeout)
-        # Workers that missed the deadline stay on the books: start()
-        # refuses to spawn a second generation next to them.
-        self._threads = [t for t in self._threads if t.is_alive()]
-        self._fail_pending()
-
-    def _fail_pending(self) -> None:
-        """Fail every queued request so no caller blocks on a dead server."""
-        while True:
-            try:
-                request = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            request.future._finish(error=RuntimeError("server stopped"))
-            with self._lock:
-                self._counters["failed"] += 1
-
-    def __enter__(self) -> "ModelServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+            for index in range(self.num_workers)
+        ]
 
     # ------------------------------------------------------------- #
     # Request surface
@@ -366,7 +535,7 @@ class ModelServer:
         the request with :class:`ServerOverloaded` (admission control).
         """
         if not self._threads:
-            raise RuntimeError("server is not running; call start() first")
+            raise RuntimeError(_NOT_RUNNING)
         checked = self.handle.check_ids(ids)  # raises exactly like the handle
         proba = bool(proba)
         generation = self.handle.generation if self._hot_cache_size else 0
@@ -387,51 +556,20 @@ class ModelServer:
                 cached = self._hot_cache.get(key)
                 if cached is not None:
                     self._hot_cache.move_to_end(key)
-                    self._counters["requests"] += 1
-                    self._counters["answered"] += 1
-                    self._counters["cache_hits"] += 1
-        ctx = TRACER.current_context() if TRACER.enabled else None
+                    self._count(requests=1, answered=1, cache_hits=1)
+        if cached is None:
+            return self._admit(checked, proba)
         future = PredictionFuture()
-        if cached is not None:
-            future._finish(value=cached.copy())
-            if TRACER.enabled:
-                TRACER.record(
-                    "server.request",
-                    start_s=future.submitted,
-                    end_s=future.completed,
-                    parent=ctx,
-                    attrs={"ids": int(checked.size), "cache_hit": True},
-                )
-            return future
-        request = _QueuedRequest(checked, proba, future, ctx)
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            with self._lock:
-                self._counters["shed"] += 1
-            raise ServerOverloaded(
-                f"request queue full ({self._queue.maxsize} pending); "
-                "shedding load"
-            ) from None
-        if self._stop.is_set():
-            # stop() may have drained the queue between our running-check
-            # and the put: fail anything stranded (possibly this request)
-            # so no caller blocks forever on a dead server.  A request a
-            # worker already claimed is not stranded — it gets answered.
-            self._fail_pending()
-        with self._lock:
-            self._counters["requests"] += 1
+        future._finish(value=cached.copy())
+        if TRACER.enabled:
+            TRACER.record(
+                "server.request",
+                start_s=future.submitted,
+                end_s=future.completed,
+                parent=TRACER.current_context(),
+                attrs={"ids": int(checked.size), "cache_hit": True},
+            )
         return future
-
-    def predict_nodes(self, ids, timeout: Optional[float] = None) -> np.ndarray:
-        """Blocking label query through the micro-batching scheduler."""
-        return self.submit(ids, proba=False).result(timeout)
-
-    def predict_proba_nodes(
-        self, ids, timeout: Optional[float] = None
-    ) -> np.ndarray:
-        """Blocking probability query through the scheduler."""
-        return self.submit(ids, proba=True).result(timeout)
 
     # ------------------------------------------------------------- #
     # Live delta ingest
@@ -464,7 +602,7 @@ class ModelServer:
             events = pipeline.ingest(delta)
             generation = self.handle.refresh(pipeline.data)
         with self._lock:
-            self._counters["ingests"] += 1
+            self._count(ingests=1)
             self._hot_cache.clear()
         return {
             "generation": generation,
@@ -506,106 +644,74 @@ class ModelServer:
     def _worker_loop(self) -> None:
         while not self._stop.is_set():
             try:
-                first = self._queue.get(timeout=0.05)
+                first = self._request_queue.get(timeout=0.05)
             except queue.Empty:
                 continue
-            batch = [first]
             formed_at = time.perf_counter()
-            deadline = time.monotonic() + self._effective_wait_s()
-            while len(batch) < self.max_batch_size:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    # Grab whatever is already queued, but wait no more.
-                    try:
-                        batch.append(self._queue.get_nowait())
-                    except queue.Empty:
-                        break
-                else:
-                    try:
-                        batch.append(self._queue.get(timeout=remaining))
-                    except queue.Empty:
-                        break
+            batch = collect_batch(
+                self._request_queue, first, self.max_batch_size,
+                self._effective_wait_s(),
+            )
             self._serve_batch(batch, formed_at, time.perf_counter())
 
     def _serve_batch(
-        self,
-        batch: List[_QueuedRequest],
-        formed_at: Optional[float] = None,
-        assembled_at: Optional[float] = None,
+        self, batch: list, formed_at: float, assembled_at: float
     ) -> None:
         # ``formed_at``/``assembled_at`` bound the companion-collection
-        # window (perf_counter, same clock as PredictionFuture.submitted);
-        # direct callers may omit them and lose only the phase breakdown.
-        now = time.perf_counter()
-        if formed_at is None:
-            formed_at = now
-        if assembled_at is None:
-            assembled_at = now
-        # One batch-level span parents the whole scheduler-side subtree
-        # (planner run + the handle's sliced forward via this thread's
-        # context stack) into the first request's trace.
-        batch_span = TRACER.span(
-            "server.batch",
-            parent=batch[0].ctx if TRACER.enabled else None,
-            attrs={"batch_size": len(batch)},
-        )
-        try:
-            with batch_span:
-                # validated=True: every request already passed check_ids
-                # at submit — do not re-scan the hot path.
-                answers, generation = self.planner.run(
-                    [(request.ids, request.proba) for request in batch],
-                    validated=True,
-                    return_generation=True,
-                )
-        except Exception as exc:  # defensive: a failed batch must not
-            for request in batch:  # wedge its callers or kill the loop
-                request.future._finish(error=exc)
-            with self._lock:
-                self._counters["failed"] += len(batch)
-                self._counters["batches"] += 1
-                self._batch_sizes.append(len(batch))
+        # window (perf_counter, same clock as PredictionFuture.submitted).
+        futures = self._claim([item[0] for item in batch])
+        # A request stop() failed before this worker claimed it is
+        # already resolved: drop it from the batch.
+        claimed = [
+            (item, future)
+            for item, future in zip(batch, futures)
+            if future is not None
+        ]
+        if not claimed:
             return
+        answers, generation = _answer_batch(
+            self.planner, [item for item, _ in claimed], "server.batch"
+        )
         forward_done = time.perf_counter()
-        answered = failed = 0
-        cacheable = []
-        for request, answer in zip(batch, answers):
+        answered = 0
+        for (_, future), answer in zip(claimed, answers):
             if isinstance(answer, Exception):
-                request.future._finish(error=answer)
-                failed += 1
+                future._finish(error=answer)
             else:
-                request.future._finish(value=answer)
+                future._finish(value=answer)
                 answered += 1
-                if self._hot_cache_size:
-                    cacheable.append((request, answer))
         with self._lock:
-            self._counters["answered"] += answered
-            self._counters["failed"] += failed
-            self._counters["batches"] += 1
-            self._batch_sizes.append(len(batch))
-            for request in batch:
-                latency = request.future.latency
-                if latency is not None:
-                    self._latencies.append(latency)
-            # Cache under the generation the batch actually ran against
-            # (exact even if an ingest swapped generations mid-batch:
-            # an entry keyed on the old generation is unreachable to
-            # post-swap lookups).  Private copies keep caller-side
-            # mutation of returned arrays from poisoning the cache.
-            for request, answer in cacheable:
-                key = (generation, request.proba, request.ids.tobytes())
-                self._hot_cache[key] = answer.copy()
-                self._hot_cache.move_to_end(key)
-            while len(self._hot_cache) > self._hot_cache_size:
-                self._hot_cache.popitem(last=False)
+            self._count(
+                answered=answered, failed=len(claimed) - answered, batches=1
+            )
+            self._batch_sizes.append(len(claimed))
+            if generation is None:  # the whole batch failed
+                return
+            for _, future in claimed:
+                self._latencies.append(future.latency)
+            if self._hot_cache_size:
+                # Cache under the generation the batch actually ran
+                # against (exact even if an ingest swapped generations
+                # mid-batch: an entry keyed on the old generation is
+                # unreachable to post-swap lookups).  Private copies keep
+                # caller-side mutation of returned arrays from poisoning
+                # the cache.
+                for ((_, ids, proba, _), _), answer in zip(claimed, answers):
+                    if isinstance(answer, Exception):
+                        continue
+                    key = (generation, proba, ids.tobytes())
+                    self._hot_cache[key] = answer.copy()
+                    self._hot_cache.move_to_end(key)
+                while len(self._hot_cache) > self._hot_cache_size:
+                    self._hot_cache.popitem(last=False)
         # Per-request telemetry runs after the futures resolved and
         # outside self._lock (slow log, tracer, and histogram each have
         # their own leaf lock).
-        self._observe_batch(batch, formed_at, assembled_at, forward_done)
+        self._observe_batch(claimed, formed_at, assembled_at, forward_done)
 
     def _observe_batch(
         self,
-        batch: List[_QueuedRequest],
+        claimed: list,
         formed_at: float,
         assembled_at: float,
         forward_done: float,
@@ -617,12 +723,9 @@ class ModelServer:
         request is its queue wait (submit → batch formation).
         """
         tracing = TRACER.enabled
-        batch_size = len(batch)
-        for request in batch:
-            future = request.future
+        batch_size = len(claimed)
+        for (_, ids, proba, ctx), future in claimed:
             latency = future.latency
-            if latency is None:  # not resolved (should not happen)
-                continue
             timings = {
                 "queue_wait_s": max(0.0, formed_at - future.submitted),
                 "batch_assembly_s": max(0.0, assembled_at - formed_at),
@@ -630,17 +733,17 @@ class ModelServer:
             }
             future.timings = timings
             self._latency_hist.observe(latency)
-            trace_id = request.ctx.trace_id if request.ctx else None
+            trace_id = ctx.trace_id if ctx else None
             span = None
             if tracing:
                 span = TRACER.record(
                     "server.request",
                     start_s=future.submitted,
                     end_s=future.completed,
-                    parent=request.ctx,
+                    parent=ctx,
                     attrs={
-                        "ids": int(request.ids.size),
-                        "proba": request.proba,
+                        "ids": int(ids.size),
+                        "proba": proba,
                         "batch_size": batch_size,
                     },
                 )
@@ -661,8 +764,8 @@ class ModelServer:
                     "duration_s": latency,
                     "trace_id": trace_id,
                     "attrs": {
-                        "ids": int(request.ids.size),
-                        "proba": request.proba,
+                        "ids": int(ids.size),
+                        "proba": proba,
                         "batch_size": batch_size,
                     },
                     "children": [
@@ -680,45 +783,25 @@ class ModelServer:
     # Telemetry
     # ------------------------------------------------------------- #
 
-    def stats(self) -> Dict[str, object]:
-        """Counters, batch shaping, latency quantiles, and throughput.
-
-        ``uptime_seconds`` and ``throughput_rps`` cover the
-        started→stopped window: on a stopped server they freeze at the
-        stop timestamp instead of decaying toward zero forever.
-
-        Every guarded field is read under one lock hold (including the
-        EWMA the reported ``effective_wait_ms`` derives from), and the
-        whole dict doubles as this server's registry collector
-        (``repro_server_*`` in ``GET /metrics``).
-        ``slow_requests`` is the worst-latency ring buffer: each entry
-        an end-to-end request span dict with its child phase breakdown.
-        """
-        return self._obs.read()
-
     def _collect_metrics(self) -> Dict[str, object]:
-        """Registry collector; :meth:`stats` is a thin view over it."""
+        """Registry collector (``repro_server_*``); ``stats()`` views it.
+
+        Counters, batch shaping, latency quantiles, throughput, the
+        adaptive-wait state and the cache, all read under one lock hold
+        (including the EWMA the reported ``effective_wait_ms`` derives
+        from).  ``slow_requests`` is the worst-latency ring buffer: each
+        entry an end-to-end request span dict with its child phase
+        breakdown.
+        """
         with self._lock:
-            counters = dict(self._counters)
+            out = self._core_metrics()
             latencies = np.asarray(self._latencies, dtype=np.float64)
             batch_sizes = np.asarray(self._batch_sizes, dtype=np.float64)
-            started_at = self._started_at
-            stopped_at = self._stopped_at
             arrival_ewma = self._arrival_ewma_s
             hot_entries = len(self._hot_cache)
-        if started_at is None:
-            elapsed = 0.0
-        else:
-            end = stopped_at if stopped_at is not None else time.perf_counter()
-            elapsed = max(0.0, end - started_at)
-        out: Dict[str, object] = dict(counters)
-        out["queue_depth"] = self._queue.qsize()
+        out["queue_depth"] = out.pop("in_flight")
         out["workers"] = self.num_workers
         out["running"] = any(t.is_alive() for t in self._threads)
-        out["uptime_seconds"] = elapsed
-        out["throughput_rps"] = (
-            counters["answered"] / elapsed if elapsed > 0 else 0.0
-        )
         out["adaptive_wait"] = self.adaptive_wait
         # Derived from the snapshotted EWMA above — NOT a fresh read of
         # the live field, which could disagree with the snapshot.
@@ -743,7 +826,7 @@ class ModelServer:
 
 
 # ------------------------------------------------------------------ #
-# Optional multi-process front-end
+# Multi-process executor
 # ------------------------------------------------------------------ #
 
 
@@ -758,21 +841,19 @@ def _replica_loop(
 
     Spawn-safe module-level entry point.  Each replica opens the bundle
     through the mmap tier, so all replicas share one OS-resident
-    operator copy; requests are ``(request_id, ids, proba, ctx)``
-    tuples — ``ctx`` the submitter's ``(trace_id, span_id)`` pair or
-    ``None`` — and ``None`` is the shutdown sentinel.  One sentinel
-    retires exactly one replica (a sentinel seen mid-batch is put back
-    for a sibling), which is how
-    :meth:`ProcessReplicaServer.scale_to` shrinks the pool without
-    touching the survivors.  With ``REPRO_TRACE`` exported (the spawn
-    env is inherited) each replica records ``replica.batch`` spans into
-    its process-local tracer, parented into the submitter's trace via
-    the shipped context.
+    operator copy; requests are the core's ``(request_id, ids, proba,
+    ctx)`` tuples — ``ctx`` the submitter's trace context or ``None`` —
+    and ``None`` is the shutdown sentinel.  One sentinel retires exactly
+    one replica (:func:`collect_batch` puts one seen mid-batch back for
+    a sibling), which is how :meth:`ProcessReplicaServer.scale_to`
+    shrinks the pool without touching the survivors.  With
+    ``REPRO_TRACE`` exported (the spawn env is inherited) each replica
+    records ``replica.batch`` spans into its process-local tracer,
+    parented into the submitter's trace via the shipped context.
     """
     from repro.api.serving import ModelHandle
 
-    handle = ModelHandle.load(bundle_path)
-    planner = BatchPlanner(handle)
+    planner = BatchPlanner(ModelHandle.load(bundle_path))
     max_wait_s = float(max_wait_ms) / 1000.0
     while True:
         try:
@@ -781,36 +862,8 @@ def _replica_loop(
             continue
         if first is None:
             return
-        batch = [first]
-        deadline = time.monotonic() + max_wait_s
-        while len(batch) < max_batch_size:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                item = request_queue.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if item is None:
-                request_queue.put(None)  # leave the sentinel for siblings
-                break
-            batch.append(item)
-        parent_ctx = batch[0][3]
-        try:
-            with TRACER.span(
-                "replica.batch",
-                parent=TraceContext(*parent_ctx) if parent_ctx else None,
-                attrs={"batch_size": len(batch)},
-            ):
-                answers = planner.run(
-                    [(ids, proba) for _, ids, proba, _ in batch],
-                    validated=True,
-                )
-        except Exception as exc:  # a failed batch must not kill the
-            # replica or strand its futures (mirrors _serve_batch)
-            for request_id, _, _, _ in batch:
-                response_queue.put((request_id, False, repr(exc)))
-            continue
+        batch = collect_batch(request_queue, first, max_batch_size, max_wait_s)
+        answers, _ = _answer_batch(planner, batch, "replica.batch")
         for (request_id, _, _, _), answer in zip(batch, answers):
             if isinstance(answer, Exception):
                 response_queue.put((request_id, False, repr(answer)))
@@ -818,7 +871,7 @@ def _replica_loop(
                 response_queue.put((request_id, True, answer))
 
 
-class ProcessReplicaServer:
+class ProcessReplicaServer(_ServingCore):
     """Micro-batching serving across OS processes sharing one mmap tier.
 
     Every replica maps the *same* bundle sidecars, so memory cost is
@@ -826,12 +879,12 @@ class ProcessReplicaServer:
     the cross-process sharing the zero-copy store exists for.  The
     parent validates ids up front (same errors as the handle), ships
     requests over a shared queue, and a collector thread resolves
-    futures as replicas answer.  Admission control matches
-    :class:`ModelServer`: at most ``max_queue`` requests may be in
-    flight (submitted, unanswered); beyond that :meth:`submit` sheds
-    with :class:`ServerOverloaded`.  Start with ``with`` or
-    :meth:`start`; replicas are spawned (not forked), so cold-start
-    includes an interpreter boot each.
+    futures as replicas answer.  Admission control is the core's: at
+    most ``max_queue`` requests may be in flight (submitted,
+    unanswered); beyond that :meth:`submit` sheds with
+    :class:`ServerOverloaded`.  Start with ``with`` or :meth:`start`;
+    replicas are spawned (not forked), so cold-start includes an
+    interpreter boot each.
 
     Elastic replicas
     ----------------
@@ -842,7 +895,18 @@ class ProcessReplicaServer:
     drive it automatically from observed queue depth and shed rate
     with hysteresis; the controller's decisions show up under
     ``stats()["autoscale"]``.
+
+    Replica death
+    -------------
+    On every idle tick the collector reaps the pool.  Once no replica
+    is alive, nothing can answer the in-flight requests: it fails them
+    with a ``RuntimeError`` and :meth:`submit` refuses until the server
+    is stopped and started again.
     """
+
+    _EXTRA_COUNTERS = ("scale_ups", "scale_downs")
+    _SHED_MESSAGE = "{max_queue} requests in flight; shedding load"
+    _STOP_TIMEOUT_S = 10.0
 
     def __init__(
         self,
@@ -867,39 +931,21 @@ class ProcessReplicaServer:
         self.replicas = int(replicas)
         self.max_batch_size = int(max_batch_size)
         self.max_wait_ms = float(max_wait_ms)
-        self.max_queue = int(max_queue)
         self.start_timeout = float(start_timeout)
         # The parent's own mapped handle: used only for request
         # validation — and it pre-builds the sidecars, so replicas map
         # instead of racing to export.
         self.handle = ModelHandle.load(self.bundle_path)
         self._ctx = multiprocessing.get_context("spawn")
-        self._request_queue = None
         self._response_queue = None
-        self._collector: Optional[threading.Thread] = None
         self._autoscaler = None
-        self._stop = threading.Event()
-        # Replica-pool bookkeeping: submitters, the autoscaler thread,
-        # and stats() readers all look at the pool, so it gets its own
-        # (reentrant — helpers re-enter) lock.
+        # Replica-pool bookkeeping: submitters, the collector, the
+        # autoscaler thread, and stats() readers all look at the pool,
+        # so it gets its own (reentrant — helpers re-enter) lock.
         self._scale_lock = threading.RLock()
         self._processes: List = []  # guarded-by: _scale_lock
         self._pending_retire = 0  # guarded-by: _scale_lock
-        # In-flight bookkeeping shared between submitters and the
-        # collector thread (lock-discipline enforced, as in ModelServer).
-        self._futures_lock = threading.Lock()
-        self._futures: Dict[int, PredictionFuture] = {}  # guarded-by: _futures_lock
-        self._next_id = 0  # guarded-by: _futures_lock
-        self.shed = 0  # guarded-by: _futures_lock
-        self._counters = {  # guarded-by: _futures_lock
-            "requests": 0, "answered": 0, "failed": 0,
-            "scale_ups": 0, "scale_downs": 0,
-        }
-        self._started_at: Optional[float] = None  # guarded-by: _futures_lock
-        self._stopped_at: Optional[float] = None  # guarded-by: _futures_lock
-        self._obs = obs_metrics.REGISTRY.register(
-            "replica_server", self._collect_metrics
-        )
+        super().__init__(max_queue, "replica_server")
 
     # ------------------------------------------------------------- #
     # Lifecycle
@@ -922,39 +968,29 @@ class ProcessReplicaServer:
         with self._scale_lock:
             self._processes.append(process)
 
-    def start(self) -> "ProcessReplicaServer":
-        with self._scale_lock:
-            running = bool(self._processes)
-        if running:
-            return self
-        self._stop.clear()
-        with self._futures_lock:
-            self._started_at = time.perf_counter()
-            self._stopped_at = None
+    def _launch(self) -> List[threading.Thread]:
         self._request_queue = self._ctx.Queue()
         self._response_queue = self._ctx.Queue()
         for _ in range(self.replicas):
             self._spawn_replica()
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="repro-serve-collector", daemon=True
-        )
-        self._collector.start()
         if self.autoscale is not None:
             from repro.serve.autoscale import ReplicaAutoscaler
 
             if self._autoscaler is None:
                 self._autoscaler = ReplicaAutoscaler(self, self.autoscale)
             self._autoscaler.start()
-        return self
+        return [
+            threading.Thread(
+                target=self._collect_loop, name="repro-serve-collector", daemon=True
+            )
+        ]
 
-    def stop(self, timeout: float = 10.0) -> None:
-        """Retire every replica and fail all in-flight requests.
+    def _retire(self, timeout: float) -> None:
+        """Retire every replica; terminate any that outlive ``timeout``.
 
-        Idempotent: safe on a never-started server (``_request_queue``
-        still ``None``) and safe to call twice.  Freezes the telemetry
-        clock, and terminates replicas that outlive ``timeout`` so a
-        later :meth:`start` never runs two replica generations against
-        one queue.
+        Runs before the collector is told to stop, so answers from
+        replicas finishing the requests queued ahead of their sentinels
+        still resolve their futures.
         """
         if self._autoscaler is not None:
             self._autoscaler.stop()
@@ -962,36 +998,12 @@ class ProcessReplicaServer:
             processes = list(self._processes)
             self._processes.clear()
             self._pending_retire = 0
-        if self._request_queue is not None:
-            for _ in processes:
-                self._request_queue.put(None)
+        for _ in processes:
+            self._request_queue.put(None)
         for process in processes:
             process.join(timeout)
             if process.is_alive():
                 process.terminate()
-        self._stop.set()
-        with self._futures_lock:
-            if self._started_at is not None and self._stopped_at is None:
-                self._stopped_at = time.perf_counter()
-        if self._collector is not None:
-            self._collector.join(timeout)
-            self._collector = None
-        self._fail_pending()
-
-    def _fail_pending(self) -> None:
-        """Fail every in-flight future so no caller blocks forever."""
-        with self._futures_lock:
-            pending = list(self._futures.values())
-            self._futures.clear()
-            self._counters["failed"] += len(pending)
-        for future in pending:
-            future._finish(error=RuntimeError("server stopped"))
-
-    def __enter__(self) -> "ProcessReplicaServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     # ------------------------------------------------------------- #
     # Elastic replica pool
@@ -1033,7 +1045,7 @@ class ProcessReplicaServer:
         if count < 1:
             raise ValueError(f"replica count must be >= 1, got {count}")
         if self._request_queue is None:
-            raise RuntimeError("server is not running; call start() first")
+            raise RuntimeError(_NOT_RUNNING)
         self._reap()
         retire = 0
         with self._scale_lock:
@@ -1050,28 +1062,21 @@ class ProcessReplicaServer:
         # the correct effective capacity before the sentinels land.
         for _ in range(retire):
             self._request_queue.put(None)
-        if delta > 0:
-            for _ in range(delta):
-                self._spawn_replica()
+        for _ in range(max(0, delta)):
+            self._spawn_replica()
         if delta:
-            with self._futures_lock:
-                if delta > 0:
-                    self._counters["scale_ups"] += 1
-                else:
-                    self._counters["scale_downs"] += 1
+            self._count(**{"scale_ups" if delta > 0 else "scale_downs": 1})
         return count
 
     def autoscale_signals(self) -> Dict[str, float]:
         """The controller's inputs: queue depth, shed total, pool size."""
-        with self._futures_lock:
-            queue_depth = len(self._futures)
-            shed_total = self.shed
+        core = self._core_metrics()
         self._reap()
         with self._scale_lock:
             replicas = len(self._processes) - self._pending_retire
         return {
-            "queue_depth": float(queue_depth),
-            "shed_total": float(shed_total),
+            "queue_depth": float(core["in_flight"]),
+            "shed_total": float(core["shed"]),
             "replicas": float(max(1, replicas)),
         }
 
@@ -1083,108 +1088,51 @@ class ProcessReplicaServer:
         """Admit one request (validated with the handle's own errors).
 
         Sheds with :class:`ServerOverloaded` once ``max_queue`` requests
-        are in flight — the bounded-work guarantee of the thread server,
-        kept here by bounding the unanswered-futures set (the
-        multiprocessing queue itself cannot reject without blocking).
+        are in flight — the bounded-work guarantee, kept by bounding the
+        core's in-flight table (the multiprocessing queue itself cannot
+        reject without blocking).  Refuses with ``RuntimeError`` when no
+        replica is alive.
         """
-        with self._scale_lock:
-            running = bool(self._processes)
-        if not running:
-            raise RuntimeError("server is not running; call start() first")
-        checked = self.handle.check_ids(ids)
-        future = PredictionFuture()
-        with self._futures_lock:
-            if len(self._futures) >= self.max_queue:
-                self.shed += 1
-                raise ServerOverloaded(
-                    f"{self.max_queue} requests in flight; shedding load"
-                )
-            request_id = self._next_id
-            self._next_id += 1
-            self._futures[request_id] = future
-            self._counters["requests"] += 1
-        ctx = TRACER.current_context() if TRACER.enabled else None
-        self._request_queue.put(
-            (request_id, checked, bool(proba), tuple(ctx) if ctx else None)
-        )
-        if self._stop.is_set():
-            # stop() may have drained the futures map between our
-            # registration and the put: fail anything stranded
-            # (possibly this request) — mirrors ModelServer.submit.
-            self._fail_pending()
-        return future
-
-    def predict_nodes(self, ids, timeout: Optional[float] = None) -> np.ndarray:
-        return self.submit(ids, proba=False).result(timeout)
-
-    def predict_proba_nodes(
-        self, ids, timeout: Optional[float] = None
-    ) -> np.ndarray:
-        return self.submit(ids, proba=True).result(timeout)
+        if not self.live_replicas():
+            raise RuntimeError(
+                _NO_LIVE_REPLICAS if self._serving() else _NOT_RUNNING
+            )
+        return self._admit(self.handle.check_ids(ids), bool(proba))
 
     # ------------------------------------------------------------- #
-    # Telemetry
+    # Telemetry and collector
     # ------------------------------------------------------------- #
-
-    def stats(self) -> Dict[str, object]:
-        """Counters, pool shape, and throughput (frozen after stop).
-
-        Thin view over this server's registry registration
-        (``repro_replica_server_*`` in ``GET /metrics``); all
-        futures-guarded fields are read under one lock hold.
-        """
-        return self._obs.read()
 
     def _collect_metrics(self) -> Dict[str, object]:
-        """Registry collector; :meth:`stats` is a thin view over it."""
-        with self._futures_lock:
-            counters = dict(self._counters)
-            counters["shed"] = self.shed
-            in_flight = len(self._futures)
-            started_at = self._started_at
-            stopped_at = self._stopped_at
+        """Registry collector (``repro_replica_server_*``); ``stats()``
+        views it.  Counters, pool shape, and throughput (frozen after
+        stop); the core's fields are read under one lock hold."""
+        out = self._core_metrics()
         self._reap()
         with self._scale_lock:
-            live = len(self._processes)
-            pending_retire = self._pending_retire
-        if started_at is None:
-            elapsed = 0.0
-        else:
-            end = stopped_at if stopped_at is not None else time.perf_counter()
-            elapsed = max(0.0, end - started_at)
-        out: Dict[str, object] = dict(counters)
-        out["in_flight"] = in_flight
-        out["replicas"] = live
-        out["pending_retire"] = pending_retire
-        out["uptime_seconds"] = elapsed
-        out["throughput_rps"] = (
-            counters["answered"] / elapsed if elapsed > 0 else 0.0
-        )
+            out["replicas"] = len(self._processes)
+            out["pending_retire"] = self._pending_retire
         if self._autoscaler is not None:
             out["autoscale"] = self._autoscaler.stats()
         return out
-
-    # ------------------------------------------------------------- #
-    # Collector
-    # ------------------------------------------------------------- #
 
     def _collect_loop(self) -> None:
         while not self._stop.is_set():
             try:
                 request_id, ok, payload = self._response_queue.get(timeout=0.1)
             except queue.Empty:
+                # Idle tick.  The pool is read before the clock: stop()
+                # freezes the clock before it empties the pool, so an
+                # empty pool seen while serving is a crash, not a stop.
+                if not self.live_replicas() and self._serving():
+                    self._fail_pending(_NO_LIVE_REPLICAS)
                 continue
             except (EOFError, OSError):
                 return
-            with self._futures_lock:
-                future = self._futures.pop(request_id, None)
-                if future is not None:
-                    if ok:
-                        self._counters["answered"] += 1
-                    else:
-                        self._counters["failed"] += 1
+            (future,) = self._claim([request_id])
             if future is None:
                 continue
+            self._count(answered=int(ok), failed=int(not ok))
             if ok:
                 future._finish(value=payload)
             else:

@@ -823,8 +823,10 @@ class TestFutureResolution:
 
     def test_reverting_pr8_stop_recheck_is_caught(self):
         # Regression gate: the real server must be clean today, and
-        # deleting ProcessReplicaServer.submit's post-put stop re-check
-        # (the PR-8 fix) must be caught statically.
+        # deleting the post-publish stop re-check (the PR-8 fix) must be
+        # caught statically.  Both server classes admit through the
+        # serving core's one admission tail, so there is exactly one
+        # re-check site: _ServingCore._admit.
         server_py = REPO_ROOT / "src" / "repro" / "serve" / "server.py"
         text = server_py.read_text()
         assert run_rule(FutureResolutionRule(), server_py) == []
@@ -835,7 +837,10 @@ class TestFutureResolution:
             r"(?=        return future\n)"
         )
         reverted, count = recheck.subn("", text)
-        assert count == 1, "ProcessReplicaServer.submit re-check not found"
+        assert count == 1, "_ServingCore._admit re-check not found"
+        admit = text.index("    def _admit(")
+        site = recheck.search(text).start()
+        assert admit < site < text.index("\n    def ", admit + 1)
         source = SourceFile(server_py, reverted)
         findings = list(FutureResolutionRule().check(source))
         assert any(

@@ -37,7 +37,7 @@ from repro.api import ConCHEstimator, ModelHandle
 from repro.core import ConCHConfig
 from repro.data import DBLPConfig, load_dataset, stratified_split
 from repro.hin.cache import LRUByteCache
-from repro.serve import ModelServer
+from repro.serve import ModelServer, ProcessReplicaServer
 
 THREADS = 8
 
@@ -228,7 +228,7 @@ class TestCacheStress:
 
 
 @pytest.fixture(scope="module")
-def handle(tmp_path_factory):
+def bundle_path(tmp_path_factory):
     data = load_dataset(
         "dblp",
         config=DBLPConfig(num_authors=80, num_papers=250, num_conferences=8),
@@ -249,7 +249,12 @@ def handle(tmp_path_factory):
     ).fit(split)
     path = tmp_path_factory.mktemp("bundle") / "conch.npz"
     estimator.save(path)
-    return ModelHandle.load(path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def handle(bundle_path):
+    return ModelHandle.load(bundle_path)
 
 
 class TestServerStress:
@@ -296,11 +301,18 @@ class TestServerStress:
                     labels, handle.predict_nodes(ids)
                 )
 
-    def test_seeded_unguarded_server_write_is_detected(self, handle):
+    @pytest.mark.parametrize("server_cls", [ModelServer, ProcessReplicaServer])
+    def test_seeded_unguarded_server_write_is_detected(
+        self, server_cls, handle, bundle_path
+    ):
         # Negative twin of the stress test: prove the instrumentation
-        # actually watches ModelServer state, not just the cache.
+        # actually watches server state, not just the cache — including
+        # the counters both servers inherit from their shared core.
         sanitizer = ThreadSanitizer()
-        server = ModelServer(handle, max_wait_ms=0.5)
+        if server_cls is ModelServer:
+            server = ModelServer(handle, max_wait_ms=0.5)
+        else:
+            server = ProcessReplicaServer(bundle_path, replicas=1)
         instrument(sanitizer, server)
         server.start()
         try:
@@ -315,4 +327,4 @@ class TestServerStress:
         ]
         assert unguarded
         assert "_counters" in unguarded[0].message
-        assert "ModelServer._lock" in unguarded[0].message
+        assert f"{server_cls.__name__}._lock" in unguarded[0].message

@@ -258,6 +258,49 @@ class TestEngineDeltaEquivalence:
         assert stats["patched_views"] > 0
         assert stats["patched_rows"] > 0
 
+    def test_patch_telemetry_is_bounded_under_a_delta_stream(self):
+        # A long-lived engine under a steady delta stream must hold
+        # counters, not per-patch logs: the patched_* totals keep
+        # accumulating while no engine container grows with the stream.
+        dataset = fresh_dataset()
+        engine = get_engine(dataset.hin)
+        for metapath in dataset.metapaths:
+            engine.counts(metapath)
+            engine.top_k(metapath, k=4, measure="pathsim")
+
+        def sizes():
+            return {
+                name: len(value)
+                for name, value in vars(engine).items()
+                if isinstance(value, (list, dict, set, tuple))
+            }
+
+        def ingest_one(index):
+            dataset.hin.apply_delta(
+                EdgeDelta.additions("writes", [index % AUTHORS], [index])
+            )
+            engine.counts(dataset.metapaths[0])  # first touch syncs
+            return engine.stats()
+
+        totals = [engine.stats()]
+        warm_sizes = None
+        for index in range(12):
+            totals.append(ingest_one(index))
+            if index == 1:
+                warm_sizes = sizes()
+        assert sizes() == warm_sizes
+        for before, after in zip(totals, totals[1:]):
+            # Every delta took the patch path and was counted exactly once.
+            assert after["patched_products"] > before["patched_products"]
+            assert after["patched_rows"] > before["patched_rows"]
+            assert after["patched_views"] > before["patched_views"]
+            assert after["composed_products"] == before["composed_products"]
+        engine.invalidate()
+        cleared = engine.stats()
+        assert cleared["patched_products"] == 0
+        assert cleared["patched_rows"] == 0
+        assert cleared["patched_views"] == 0
+
     def test_repeated_deltas_stay_equivalent(self):
         live_ds, cold_ds = fresh_dataset(), fresh_dataset()
         engine = get_engine(live_ds.hin)

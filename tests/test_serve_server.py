@@ -408,13 +408,17 @@ class TestMappedBundles:
         are bounded; overflow sheds instead of growing without bound."""
         import queue as _queue
 
+        class SilentReplica:  # alive, but never answers
+            def is_alive(self):
+                return True
+
         server = ProcessReplicaServer(bundle_path, replicas=1, max_queue=1)
-        server._processes = [object()]        # pretend started ...
-        server._request_queue = _queue.Queue()  # ... with no live replica
+        server._processes = [SilentReplica()]   # pretend started ...
+        server._request_queue = _queue.Queue()  # ... with a mute replica
         server.submit([0])                      # fills the in-flight slot
-        with pytest.raises(ServerOverloaded):
+        with pytest.raises(ServerOverloaded, match="1 requests in flight"):
             server.submit([1])
-        assert server.shed == 1
+        assert server.stats()["shed"] == 1
 
     def test_process_replica_server_matches_parent(self, bundle_path, handle):
         requests = request_mix(handle, count=6)
